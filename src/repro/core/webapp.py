@@ -35,14 +35,15 @@ import time
 import uuid
 from http.cookies import SimpleCookie
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
-from urllib.parse import parse_qs, urlparse
 
 import repro.ap.models as ap_models
 import repro.storage.device as storage_devices
 from repro.cloud.database import ContentDatabase
 from repro.core.auxiliary import SmartApInfo, UserContext
-from repro.core.service import OdrService
+from repro.core.service import OdrResponse, OdrService
+from repro.core.target import query_params, split_target
 from repro.faults.policies import ResiliencePolicies
 from repro.netsim.ip import IpAllocator
 from repro.netsim.isp import ISP
@@ -89,6 +90,33 @@ bottlenecks.</p>
   <p><button>Ask ODR</button> (append &format=json for the API)</p>
 </form></body></html>
 """
+
+#: A 200 ``/decide`` body: ``json.dumps(payload, indent=2)`` of the
+#: decision payload, written out so the pure-Python indenting encoder
+#: never runs.
+_DECISION_BODY = """{
+  "action": %s,
+  "data_source": %s,
+  "bottlenecks_addressed": %s,
+  "explanation": %s,
+  "file_id": %s,
+  "protocol": %s,
+  "policy": %s
+}"""
+
+
+def decision_body(response: OdrResponse, policy: str) -> str:
+    """The JSON body of a 200 ``/decide``, byte-identical to
+    ``json.dumps(payload, indent=2)`` of the payload it encodes."""
+    decision = response.decision
+    addressed = decision.bottlenecks_addressed
+    listed = "[\n    " + ",\n    ".join(map(int.__repr__, addressed)) \
+        + "\n  ]" if addressed else "[]"
+    quote = encode_basestring_ascii
+    return _DECISION_BODY % (
+        quote(decision.action.value), quote(decision.data_source.value),
+        listed, quote(response.explanation), quote(response.file_id),
+        quote(response.protocol.value), quote(policy))
 
 
 class OdrWebApp:
@@ -156,19 +184,7 @@ class OdrWebApp:
         budget rides into the routing policy layer via
         ``UserContext.deadline_seconds``.
         """
-        parsed = urlparse(path)
-        if parsed.path in ("/", "/index.html"):
-            return 200, "text/html", _FRONT_PAGE, None, {}
-        if parsed.path == "/healthz":
-            return 200, "application/json", json.dumps(
-                {"status": "ok",
-                 "requests_served": self.requests_served}), \
-                None, {}
-        if parsed.path == "/decide":
-            return self._decide(parse_qs(parsed.query), cookie_header,
-                                deadline)
-        return 404, "application/json", json.dumps(
-            {"error": f"no such endpoint {parsed.path!r}"}), None, {}
+        return self.handle_batch([(path, cookie_header, deadline)])[0]
 
     def handle_batch(self, requests: list[tuple]
                      ) -> list[Response]:
@@ -186,32 +202,44 @@ class OdrWebApp:
         as :meth:`handle` takes it.
         """
         responses: list[Optional[Response]] = [None] * len(requests)
-        decide_items: list[tuple[int, dict[str, list[str]], str,
+        decide_items: list[tuple[int, dict[str, str], str,
                                  Optional[float]]] = []
         for index, entry in enumerate(requests):
             path, cookie_header = entry[0], entry[1]
             deadline = entry[2] if len(entry) > 2 else None
-            parsed = urlparse(path)
-            if parsed.path == "/decide":
+            try:
+                route, query = split_target(path)
+            except ValueError as error:
+                responses[index] = 400, "application/json", json.dumps(
+                    {"error": f"malformed request target: {error}"}), \
+                    None, {}
+                continue
+            if route == "/decide":
                 decide_items.append(
-                    (index, parse_qs(parsed.query), cookie_header,
+                    (index, query_params(query), cookie_header,
                      deadline))
             else:
-                responses[index] = self.handle(path, cookie_header)
+                responses[index] = self._route(route)
         if decide_items:
-            batch = [(query, cookie, deadline)
-                     for _index, query, cookie, deadline
+            batch = [(params, cookie, deadline)
+                     for _index, params, cookie, deadline
                      in decide_items]
-            for (index, _q, _c, _d), response in zip(
+            for (index, _p, _c, _d), response in zip(
                     decide_items, self._decide_batch(batch)):
                 responses[index] = response
         return responses   # type: ignore[return-value]
 
-    def _decide(self, query: dict[str, list[str]],
-                cookie_header: str,
-                deadline: Optional[float] = None) -> Response:
-        return self._decide_batch([(query, cookie_header,
-                                    deadline)])[0]
+    def _route(self, route: str) -> Response:
+        """The response of every endpoint but ``/decide``."""
+        if route in ("/", "/index.html"):
+            return 200, "text/html", _FRONT_PAGE, None, {}
+        if route == "/healthz":
+            return 200, "application/json", json.dumps(
+                {"status": "ok",
+                 "requests_served": self.requests_served}), \
+                None, {}
+        return 404, "application/json", json.dumps(
+            {"error": f"no such endpoint {route!r}"}), None, {}
 
     def _shed_response(self, now: float) -> Optional[Response]:
         """The 503 while the breaker is open, or None when admitted."""
@@ -225,7 +253,7 @@ class OdrWebApp:
              "retry_after_seconds": retry_after}), \
             None, {"Retry-After": str(retry_after)}
 
-    def _decide_batch(self, items: list[tuple[dict[str, list[str]],
+    def _decide_batch(self, items: list[tuple[dict[str, str],
                                               str, Optional[float]]]
                       ) -> list[Response]:
         """Evaluate a batch of ``/decide`` queries in one pass.
@@ -244,11 +272,8 @@ class OdrWebApp:
         #: (index, first, link, file_id, popularity, cached, isp,
         #:  set_cookie, user_id, service, deadline)
         prepared: list[tuple] = []
-        for index, (query, cookie_header, deadline) in enumerate(items):
-            def first(key: str, default: str = "",
-                      _query=query) -> str:
-                return _query.get(key, [default])[0]
-
+        for index, (params, cookie_header, deadline) in enumerate(items):
+            first = params.get
             link = first("link")
             if not link:
                 responses[index] = 400, "application/json", json.dumps(
@@ -317,18 +342,8 @@ class OdrWebApp:
 
             if self._breaker is not None:
                 self._breaker.record(True, self._clock())
-            payload = {
-                "action": response.decision.action.value,
-                "data_source": response.decision.data_source.value,
-                "bottlenecks_addressed":
-                    list(response.decision.bottlenecks_addressed),
-                "explanation": response.explanation,
-                "file_id": response.file_id,
-                "protocol": response.protocol.value,
-                "policy": service.policy,
-            }
             responses[index] = 200, "application/json", \
-                json.dumps(payload, indent=2), set_cookie, {}
+                decision_body(response, service.policy), set_cookie, {}
         return responses   # type: ignore[return-value]
 
     def _user_id_from_cookie(self, cookie_header: str
@@ -372,18 +387,6 @@ class OdrWebApp:
                            access_bandwidth=bandwidth,
                            smart_ap=smart_ap,
                            deadline_seconds=deadline_seconds)
-
-    def _register_popularity(self, link: str, first) -> None:
-        from repro.core.service import parse_link
-        _protocol, file_id = parse_link(link)
-        popularity = int(first("popularity", "0") or 0)
-        with self._lock:
-            row = self.database.row(file_id, size=0.0)
-            if row.request_count < popularity:
-                row.request_count = popularity
-            self.database.set_cached(file_id,
-                                     first("cached", "0") in
-                                     ("1", "true", "yes"))
 
 
 class _Handler(BaseHTTPRequestHandler):

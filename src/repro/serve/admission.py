@@ -69,8 +69,9 @@ def deadline_response(stage: str, remaining_ms: Optional[float] = None
 
     ``stage`` names where the budget ran out: ``admission`` (predicted
     queue wait already exceeds the remaining budget), ``batch`` (the
-    entry expired waiting for its coalesced tick), or ``execute`` (the
-    deadline passed while the work sat on the executor queue).
+    entry expired waiting for its coalesced tick or for a later slice
+    of it), or ``execute`` (un-batched tier only: the deadline passed
+    while the work sat on the executor queue).
     """
     import json
     payload: dict[str, object] = {
@@ -259,12 +260,3 @@ class AdmissionController:
              "retry_after_seconds": retry_after})
         return 503, body, {"Retry-After": str(retry_after)}
 
-
-def optional_admission(max_inflight: Optional[int],
-                       metrics: AnyRegistry = NOOP
-                       ) -> Optional[AdmissionController]:
-    """An AdmissionController, or None when admission is disabled
-    (``max_inflight`` of 0 or None means 'unbounded')."""
-    if not max_inflight:
-        return None
-    return AdmissionController(max_inflight, metrics=metrics)

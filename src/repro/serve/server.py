@@ -18,7 +18,11 @@ request path is::
   backend underneath.
 * **Batched evaluation** -- requests arriving in the same loop tick are
   coalesced into one :meth:`~repro.core.webapp.OdrWebApp.handle_batch`
-  pass (one breaker check, one lock scope for the batch).
+  pass (one breaker check, one lock scope for the batch), evaluated on
+  the loop itself in slices of at most one GIL switch interval (see
+  :mod:`repro.serve.batching`); every other app call -- and every call
+  of the un-batched ``batch=False`` tier -- runs on the default
+  executor.
 * **Obs** -- per-endpoint request/response counters, an in-flight
   gauge, streaming latency histograms, and a ``/metrics`` endpoint
   rendering the registry in Prometheus text format.
@@ -44,6 +48,7 @@ from http import HTTPStatus
 from typing import Callable, Optional
 
 from repro.cloud.database import ContentDatabase
+from repro.core.target import split_target
 from repro.core.webapp import OdrWebApp, Response
 from repro.faults.policies import ResiliencePolicies
 from repro.obs.exporters import render_prometheus
@@ -62,10 +67,15 @@ KNOWN_ENDPOINTS = ("/decide", "/healthz", "/metrics", "/statz", "/")
 
 
 def endpoint_label(path: str) -> str:
-    bare = path.split("?", 1)[0]
-    if bare in ("", "/", "/index.html"):
+    """The metric label of a request target: the route the app
+    dispatches it on (same parse), or ``other``."""
+    try:
+        route = split_target(path)[0]
+    except ValueError:
+        return "other"
+    if route in ("/", "/index.html") or not path:
         return "/"
-    return bare if bare in KNOWN_ENDPOINTS else "other"
+    return route if route in KNOWN_ENDPOINTS else "other"
 
 
 def _reason(status: int) -> str:
@@ -324,8 +334,10 @@ class AsyncOdrServer:
 
     def _guarded_handle(self, path: str, cookie: str,
                         deadline: Optional[float]) -> Response:
-        """Executor-side handle with a deadline no-op guard (the
-        un-batched twin of the batcher's execute-stage check)."""
+        """Executor-side handle of every call the batcher does not take
+        (all of them on the un-batched tier), with a deadline no-op
+        guard: work whose deadline lapsed while it sat on the thread
+        pool's queue is answered 504 at the ``execute`` stage."""
         if deadline is not None and time.monotonic() > deadline:
             self.admission.count_deadline_shed("execute")
             return deadline_response("execute")

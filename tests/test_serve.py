@@ -373,6 +373,136 @@ class TestBatching:
         assert server.batcher.mean_batch_size >= 1.0
 
 
+def slow_batches(app, per_entry, log):
+    """Make ``app.handle_batch`` cost ``per_entry`` seconds a ``/decide``
+    entry, logging each ``/decide`` pass's size (``handle`` of the other
+    endpoints goes through ``handle_batch`` too)."""
+    original = app.handle_batch
+
+    def slow(requests):
+        decides = sum(1 for entry in requests
+                      if entry[0].startswith("/decide"))
+        if decides:
+            log.append(decides)
+            time.sleep(per_entry * decides)
+        return original(requests)
+
+    app.handle_batch = slow
+
+
+class TestBatchSlicing:
+    """Batches run on the loop, but never for longer than one slice."""
+
+    def test_long_tick_is_split_and_admin_healthz_answers_between(self):
+        import asyncio
+
+        from repro.serve.batching import SLICE_SECONDS
+
+        server = AsyncOdrServer(max_inflight=64, admin_port=0)
+        passes = []
+        # Every entry costs a whole slice, so each slice holds one.
+        slow_batches(server.app, SLICE_SECONDS, passes)
+        with AsyncServerThread(server) as thread:
+            probe = http.client.HTTPConnection(
+                server.host, server.admin_port, timeout=5.0)
+            probe.request("GET", "/healthz")
+            probe.getresponse().read()
+
+            async def one_tick():
+                return await asyncio.gather(
+                    *[server.batcher.submit(DECIDE, "")
+                      for _ in range(40)])
+
+            batch = asyncio.run_coroutine_threadsafe(one_tick(),
+                                                     thread._loop)
+            answered_during = 0
+            while not batch.done():
+                probe.request("GET", "/healthz")
+                response = probe.getresponse()
+                response.read()
+                if response.status == 200 and not batch.done():
+                    answered_during += 1
+            responses = batch.result(timeout=10.0)
+            probe.close()
+        assert [status for status, *_rest in responses] == [200] * 40
+        assert len(passes) > 1 and sum(passes) == 40
+        assert server.batcher.slices > 1
+        assert answered_during >= 1
+
+    def test_deferred_entry_whose_deadline_lapses_is_a_batch_504(self):
+        import asyncio
+
+        from repro.cloud.database import ContentDatabase
+        from repro.core.webapp import OdrWebApp
+        from repro.serve.batching import SLICE_SECONDS, DecisionBatcher
+
+        metrics = MetricsRegistry()
+        batcher = DecisionBatcher(OdrWebApp(ContentDatabase()),
+                                  metrics=metrics)
+        passes = []
+        slow_batches(batcher.app, 2 * SLICE_SECONDS, passes)
+
+        async def scenario():
+            now = time.monotonic()
+            first = batcher.submit(DECIDE, "", deadline=now + 30.0)
+            # Live when queued and when the first slice starts, but the
+            # first slice outlasts it.
+            lapsing = batcher.submit(DECIDE, "",
+                                     deadline=now + SLICE_SECONDS)
+            return await asyncio.gather(first, lapsing)
+
+        served, lapsed = asyncio.run(scenario())
+        assert served[0] == 200
+        assert lapsed[0] == 504
+        assert json.loads(lapsed[2])["stage"] == "batch"
+        assert passes == [1]
+        assert batcher.slices == 2
+        assert batcher.expired == 1
+        assert metrics.counter("repro_serve_deadline_sheds_total",
+                               stage="batch").value == 1
+
+    def test_accounting_invariant_holds_under_slicing(self):
+        from repro.serve.batching import SLICE_SECONDS
+
+        metrics = MetricsRegistry()
+        server = AsyncOdrServer(metrics=metrics, max_inflight=6)
+        slow_batches(server.app, SLICE_SECONDS, [])
+        statuses = []
+        lock = threading.Lock()
+        with AsyncServerThread(server):
+            barrier = threading.Barrier(12)
+
+            def fire(index):
+                headers = {"X-Deadline-Ms": "12"} if index % 2 else {}
+                barrier.wait(timeout=5.0)
+                status, _h, _b = get_with_headers(
+                    server.host, server.port, DECIDE, headers,
+                    timeout=10.0)
+                with lock:
+                    statuses.append(status)
+
+            threads = [threading.Thread(target=fire, args=(index,),
+                                        daemon=True)
+                       for index in range(12)]
+            for worker in threads:
+                worker.start()
+            for worker in threads:
+                worker.join(timeout=15.0)
+        assert len(statuses) == 12
+        assert set(statuses) <= {200, 503, 504}
+        sent = metrics.counter("repro_serve_requests_total",
+                               endpoint="/decide").value
+        admitted = metrics.counter("repro_serve_admitted_total",
+                                   endpoint="/decide").value
+        rejected = sum(
+            metrics.counter("repro_serve_rejected_total",
+                            endpoint="/decide",
+                            reason=reason).value
+            for reason in ("deadline", "saturated"))
+        assert sent == 12
+        assert admitted + rejected == sent
+
+
 class TestChaos:
     def test_chaos_window_injects_500s(self):
         plan = FaultPlan("crash-now", 1, [FaultSpec("server_crash", "*",
