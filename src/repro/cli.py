@@ -8,13 +8,21 @@ Subcommands mirror the paper's workflow::
     repro odr         ask the ODR middleware for one decision (section 6)
     repro experiments regenerate every paper comparison (EXPERIMENTS.md)
     repro figures     render the paper's figures as SVG
+    repro serve       run the ODR web service (asyncio serving tier)
+    repro backends    compare (backend set, policy) combinations
+    repro loadgen     replay the trace as live HTTP load
+    repro runs gc     collect complete and stale run directories
 
-Every subcommand is also reachable as ``python -m repro <subcommand>``.
+``figures``, ``serve``, ``backends`` and ``loadgen`` hand the rest of
+the command line verbatim to the ``main`` of their own module (see
+``_FORWARDED``), so each flag is declared once, there.  Every
+subcommand is also reachable as ``python -m repro <subcommand>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
@@ -487,67 +495,19 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return runner_main(argv)
 
 
-def cmd_figures(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import main as figures_main
-    return figures_main(["--scale", str(args.scale),
-                         "--outdir", str(args.outdir)])
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.__main__ import main as serve_main
-    forwarded = ["--host", args.host, "--port", str(args.port),
-                 "--engine", args.engine,
-                 "--workers", str(args.workers),
-                 "--max-inflight", str(args.max_inflight),
-                 "--policy", args.policy,
-                 "--grace", str(args.grace)]
-    if args.no_batch:
-        forwarded.append("--no-batch")
-    if args.no_resilience:
-        forwarded.append("--no-resilience")
-    if args.supervise:
-        forwarded.append("--supervise")
-    if args.max_workers is not None:
-        forwarded += ["--max-workers", str(args.max_workers)]
-    if args.faults is not None:
-        forwarded += ["--faults", str(args.faults)]
-    if args.quiet:
-        forwarded.append("--quiet")
-    return serve_main(forwarded)
-
-
-def cmd_backends(args: argparse.Namespace) -> int:
-    from repro.backends.__main__ import main as backends_main
-    forwarded = ["--scale", str(args.scale), "--seed", str(args.seed),
-                 "--limit", str(args.limit),
-                 "--shards", str(args.shards)]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
-    for combo in args.combo or ():
-        forwarded += ["--combo", combo]
-    if args.deadline_hours is not None:
-        forwarded += ["--deadline-hours", str(args.deadline_hours)]
-    if args.faults:
-        forwarded.append("--faults")
-    if args.json:
-        forwarded.append("--json")
-    if args.out is not None:
-        forwarded += ["--out", str(args.out)]
-    if args.quiet:
-        forwarded.append("--quiet")
-    return backends_main(forwarded)
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.loadgen.__main__ import main as loadgen_main
-    return loadgen_main(list(args.loadgen_args))
-
-
-def _forward_loadgen(argv: list[str] | None) -> list[str] | None:
-    """``repro loadgen ...`` forwards everything verbatim (argparse's
-    REMAINDER refuses leading optionals, so route before parsing)."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    return argv[1:] if argv[:1] == ["loadgen"] else None
+#: Subcommands owned by another module's parser: name -> (module whose
+#: ``main(argv)`` gets the remaining arguments, ``repro --help`` line).
+_FORWARDED = {
+    "figures": ("repro.experiments.figures",
+                "render the paper's figures as SVG"),
+    "serve": ("repro.serve.__main__",
+              "run the ODR web service (like odr.thucloud.com)"),
+    "backends": ("repro.backends.__main__",
+                 "compare (backend set, policy) combinations on one "
+                 "deterministic trace"),
+    "loadgen": ("repro.loadgen.__main__",
+                "replay the trace as live HTTP load"),
+}
 
 
 def cmd_runs_gc(args: argparse.Namespace) -> int:
@@ -659,84 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics(experiments)
     experiments.set_defaults(func=cmd_experiments)
 
-    figures = subparsers.add_parser(
-        "figures", help="render the paper's figures as SVG")
-    _add_scale(figures, default=0.02)
-    figures.add_argument("--outdir", type=Path,
-                         default=Path("figures"))
-    figures.set_defaults(func=cmd_figures)
-
-    serve = subparsers.add_parser(
-        "serve", help="run the ODR web service (like odr.thucloud.com)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8034)
-    serve.add_argument("--engine", choices=["async", "thread"],
-                       default="async",
-                       help="serving engine (default %(default)s)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="async engine only: SO_REUSEPORT worker "
-                            "processes")
-    serve.add_argument("--max-inflight", type=int, default=128,
-                       help="admission-control cap on concurrent "
-                            "requests (503 + Retry-After past it)")
-    serve.add_argument("--policy", default="odr",
-                       help="default routing policy (a registry "
-                            "strategy name; override per request "
-                            "with ?policy=...)")
-    serve.add_argument("--no-batch", action="store_true",
-                       help="disable same-tick /decide coalescing")
-    serve.add_argument("--supervise", action="store_true",
-                       help="parent supervisor keeps the worker pool "
-                            "at capacity (health probes, backoff "
-                            "restarts); needs --workers >= 2")
-    serve.add_argument("--max-workers", type=int, default=None,
-                       help="with --supervise: elastic ceiling the "
-                            "pool may grow to under shed pressure")
-    serve.add_argument("--no-resilience", action="store_true",
-                       help="disable the backend circuit breaker "
-                            "(503 + Retry-After load shedding)")
-    serve.add_argument("--faults", type=Path, default=None,
-                       help="fault plan injected into the serving tier")
-    serve.add_argument("--grace", type=float, default=10.0)
-    serve.add_argument("--quiet", action="store_true")
-    serve.set_defaults(func=cmd_serve)
-
-    backends = subparsers.add_parser(
-        "backends", help="compare (backend set, policy) combinations "
-                         "on one deterministic trace")
-    _add_scale(backends)
-    backends.add_argument("--limit", type=int, default=400,
-                          help="trace rows to replay "
-                               "(default %(default)s)")
-    backends.add_argument("--shards", type=int, default=4,
-                          help="content shards; any value yields the "
-                               "same scorecard (default %(default)s)")
-    backends.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (results are "
-                               "identical at any job count)")
-    backends.add_argument("--combo", action="append", metavar="NAME",
-                          help="run only combos whose name contains "
-                               "NAME (repeatable)")
-    backends.add_argument("--deadline-hours", type=float, default=None,
-                          help="delay-aware policy deadline in hours "
-                               "(default 8)")
-    backends.add_argument("--faults", action="store_true",
-                          help="route under the default chaos plan")
-    backends.add_argument("--json", action="store_true",
-                          help="print the JSON scorecard")
-    backends.add_argument("--out", type=Path, default=None,
-                          help="also write the JSON scorecard to PATH")
-    backends.add_argument("--quiet", action="store_true",
-                          help="print only the scorecard digest")
-    backends.set_defaults(func=cmd_backends)
-
-    loadgen = subparsers.add_parser(
-        "loadgen", help="replay the trace as live HTTP load "
-                        "(see python -m repro.loadgen --help)")
-    loadgen.add_argument("loadgen_args", nargs=argparse.REMAINDER,
-                         help="arguments forwarded to "
-                              "python -m repro.loadgen")
-    loadgen.set_defaults(func=cmd_loadgen)
+    for name, (_module, help_line) in _FORWARDED.items():
+        # Listed for --help only: main() routes these before parsing.
+        subparsers.add_parser(name, help=help_line)
 
     runs = subparsers.add_parser(
         "runs", help="manage durable run directories")
@@ -790,10 +675,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    loadgen_argv = _forward_loadgen(argv)
-    if loadgen_argv is not None:
-        from repro.loadgen.__main__ import main as loadgen_main
-        return loadgen_main(loadgen_argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _FORWARDED:
+        # Verbatim: argparse's REMAINDER refuses leading optionals, so
+        # route before parsing.
+        module = importlib.import_module(_FORWARDED[argv[0]][0])
+        return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     if getattr(args, "profile", None) is None:
         return _dispatch(args)

@@ -199,7 +199,8 @@ def render_all(context: ExperimentContext,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.figures", description=__doc__)
     parser.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     parser.add_argument("--outdir", type=Path, default=Path("figures"))
     args = parser.parse_args(argv)

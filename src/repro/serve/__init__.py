@@ -26,10 +26,12 @@ endpoint at scale:
 * :class:`~repro.serve.chaos.ServeChaos` -- a fault-plan gate anchored
   at server start, so chaos campaigns cover the serving tier;
 * :mod:`~repro.serve.bench` (``python -m repro.serve.bench``) -- the
-  saturation-ramp comparison against the legacy threaded tier,
+  tier's saturation ramp (optionally also as an ``SO_REUSEPORT`` pool),
   written to ``BENCH_serve.json``.
 
-The CLI lives in ``python -m repro.serve`` (also ``repro serve``).
+This is the only HTTP engine: :class:`~repro.core.webapp.OdrWebApp`
+holds the engine-independent routing and responses it serves.  The
+CLI lives in ``python -m repro.serve`` (also ``repro serve``).
 """
 
 from repro.serve.admission import (

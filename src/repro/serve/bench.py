@@ -1,22 +1,17 @@
-"""``python -m repro.serve.bench`` -- async vs threaded saturation ramp.
+"""``python -m repro.serve.bench`` -- the serving tier's saturation ramp.
 
-Boots each serving engine as its own subprocess (so the load generator
-never shares a GIL with the tier it is measuring), replays the same
-trace slice through the same stepped ramp against both, and writes the
-side-by-side scorecards to ``BENCH_serve.json``:
+Boots the async serving tier as its own subprocess (so the load
+generator never shares a GIL with the tier it is measuring), replays a
+trace slice through a stepped ramp until a step breaks the SLO, and
+writes the scorecard to ``BENCH_serve.json``:
 
-* ``engines.async`` / ``engines.thread`` -- the full per-step SLO
-  scorecard of each tier (see :func:`repro.loadgen.ramp.scorecard`);
-* ``saturation`` -- each tier's saturation RPS (highest achieved
-  throughput among SLO-healthy steps) and the async/thread ratio;
-* ``so_reuseport`` (with ``--workers N``) -- the async tier ramped
-  again as an N-process ``SO_REUSEPORT`` pool, recorded as the
-  pool-over-single-loop scaling ratio.
-
-The legacy tier answers ``Connection: close`` on every response, so
-each request pays a fresh TCP handshake; the async tier keeps
-connections alive, batches same-tick decisions, and sheds overload
-instead of queueing it -- the ramp makes that difference a number.
+* ``engines.async`` -- the full per-step SLO scorecard of the
+  single-loop tier (see :func:`repro.loadgen.ramp.scorecard`);
+* ``saturation`` -- saturation RPS (highest achieved throughput among
+  SLO-healthy steps) of every ramped configuration;
+* ``so_reuseport`` (with ``--workers N``) -- the tier ramped again as
+  an N-process ``SO_REUSEPORT`` pool (``engines.async_xN``), recorded
+  as the pool-over-single-loop scaling ratio.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from repro.loadgen.ramp import (
 from repro.loadgen.replay import LoadGenerator
 from repro.loadgen.trace import load_or_generate_paths
 
-#: How long to wait for a freshly launched engine's /healthz.
+#: How long to wait for a freshly launched server's /healthz.
 BOOT_TIMEOUT = 15.0
 
 
@@ -71,22 +66,18 @@ def wait_healthy(host: str, port: int,
     return False
 
 
-class EngineProcess:
-    """One serving engine running as a child process."""
+class ServerProcess:
+    """The async serving tier running as a child process."""
 
-    def __init__(self, engine: str, port: int, *,
-                 workers: int = 1, max_inflight: int = 128,
-                 host: str = "127.0.0.1"):
-        self.engine = engine
+    def __init__(self, port: int, *, workers: int = 1,
+                 max_inflight: int = 128, host: str = "127.0.0.1"):
         self.host = host
         self.port = port
         command = [sys.executable, "-m", "repro.serve",
-                   "--engine", engine, "--host", host,
-                   "--port", str(port), "--quiet"]
-        if engine == "async":
-            command += ["--max-inflight", str(max_inflight)]
-            if workers > 1:
-                command += ["--workers", str(workers)]
+                   "--host", host, "--port", str(port), "--quiet",
+                   "--max-inflight", str(max_inflight)]
+        if workers > 1:
+            command += ["--workers", str(workers)]
         environment = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2])
         existing = environment.get("PYTHONPATH")
@@ -104,8 +95,7 @@ class EngineProcess:
         if not wait_healthy(self.host, self.port):
             self.stop()
             raise RuntimeError(
-                f"{self.engine} engine never became healthy on "
-                f"port {self.port}")
+                f"serving tier never became healthy on port {self.port}")
 
     def stop(self, grace: float = 5.0) -> None:
         if self.process.poll() is None:
@@ -116,7 +106,7 @@ class EngineProcess:
                 self.process.kill()
                 self.process.wait()
 
-    def __enter__(self) -> "EngineProcess":
+    def __enter__(self) -> "ServerProcess":
         self.wait_ready()
         return self
 
@@ -124,7 +114,7 @@ class EngineProcess:
         self.stop()
 
 
-def ramp_engine(engine: str, paths: list[str], rates: list[float],
+def ramp_server(name: str, paths: list[str], rates: list[float],
                 duration: float, *,
                 workers: int = 1, max_inflight: int = 128,
                 loadgen_workers: int = 8,
@@ -132,8 +122,9 @@ def ramp_engine(engine: str, paths: list[str], rates: list[float],
                 achieved_floor: float = DEFAULT_ACHIEVED_FLOOR,
                 settle: float = 0.25,
                 quiet: bool = False) -> dict[str, Any]:
-    """Boot ``engine`` in a subprocess and ramp it to saturation."""
-    with EngineProcess(engine, free_port(), workers=workers,
+    """Boot the tier (``workers`` processes) in a subprocess and ramp
+    it to saturation; ``name`` labels its progress lines."""
+    with ServerProcess(free_port(), workers=workers,
                        max_inflight=max_inflight) as child:
         targets = TargetSet.from_urls(
             [child.url], max_concurrency=max_concurrency)
@@ -150,7 +141,7 @@ def ramp_engine(engine: str, paths: list[str], rates: list[float],
                 if not quiet:
                     p95 = card.latency.quantile(0.95) \
                         if card.latency.count else float("nan")
-                    print(f"  [{engine}] {card.offered_rps:8.1f} "
+                    print(f"  [{name}] {card.offered_rps:8.1f} "
                           f"offered | {card.achieved_rps:8.1f} "
                           f"achieved | p95 {p95:8.2f} ms | "
                           f"err {card.error_rate:.4f} | "
@@ -160,20 +151,16 @@ def ramp_engine(engine: str, paths: list[str], rates: list[float],
                     break
                 time.sleep(settle)
     return scorecard(cards, achieved_floor=achieved_floor,
-                     meta={"engine": engine, "workers": workers,
+                     meta={"engine": "async", "workers": workers,
                            "max_inflight": max_inflight})
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.bench",
-        description="Saturation-ramp comparison of the async serving "
-                    "tier against the legacy threaded one.")
-    parser.add_argument("--engines", default="async,thread",
-                        help="comma-separated engines to ramp "
-                             "(default %(default)s)")
+        description="Saturation ramp of the async serving tier.")
     parser.add_argument("--workers", type=int, default=1,
-                        help="with N > 1: ramp the async engine a "
+                        help="with N > 1: ramp the tier a "
                              "second time as N SO_REUSEPORT worker "
                              "processes and record the scaling ratio "
                              "(default %(default)s)")
@@ -201,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    engines = [name.strip() for name in args.engines.split(",")
-               if name.strip()]
-    for engine in engines:
-        if engine not in ("async", "thread"):
-            build_parser().error(f"unknown engine {engine!r}")
-
     paths = load_or_generate_paths(args.trace, args.scale, args.seed,
                                    limit=args.limit)
     rates = ramp_rates(args.ramp_start, args.ramp_stop,
@@ -216,28 +197,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{[round(rate, 1) for rate in rates]} rps x "
               f"{args.duration}s", flush=True)
 
+    pools = {"async": 1}
+    if args.workers > 1:
+        # The SO_REUSEPORT pass: same tier, N worker processes sharing
+        # the port.  Its scorecard lands beside the single-loop one so
+        # the scaling ratio is a recorded number, not a claim.
+        pools[f"async_x{args.workers}"] = args.workers
     results: dict[str, Any] = {}
-    for engine in engines:
+    for name, workers in pools.items():
         if not args.quiet:
-            print(f"bench: ramping {engine} engine", flush=True)
-        results[engine] = ramp_engine(
-            engine, paths, rates, args.duration,
-            max_inflight=args.max_inflight,
-            loadgen_workers=args.loadgen_workers,
-            max_concurrency=args.max_concurrency,
-            achieved_floor=args.achieved_floor,
-            quiet=args.quiet)
-    if args.workers > 1 and "async" in engines:
-        # The SO_REUSEPORT pass: same async tier, N worker processes
-        # sharing the port.  Its scorecard lands beside the single-loop
-        # one so the scaling ratio is a recorded number, not a claim.
-        pool_name = f"async_x{args.workers}"
-        if not args.quiet:
-            print(f"bench: ramping {pool_name} "
-                  f"(SO_REUSEPORT worker pool)", flush=True)
-        results[pool_name] = ramp_engine(
-            "async", paths, rates, args.duration,
-            workers=args.workers, max_inflight=args.max_inflight,
+            print(f"bench: ramping {name}", flush=True)
+        results[name] = ramp_server(
+            name, paths, rates, args.duration,
+            workers=workers, max_inflight=args.max_inflight,
             loadgen_workers=args.loadgen_workers,
             max_concurrency=args.max_concurrency,
             achieved_floor=args.achieved_floor,
@@ -259,12 +231,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "loadgen": {"workers": args.loadgen_workers,
                     "max_concurrency": args.max_concurrency},
     }
-    if "async" in saturation and "thread" in saturation \
-            and saturation["thread"] > 0:
-        document["saturation"]["async_over_thread"] = round(
-            saturation["async"] / saturation["thread"], 3)
-    if args.workers > 1 and "async" in saturation:
-        pool = saturation.get(f"async_x{args.workers}", 0.0)
+    if args.workers > 1:
+        pool = saturation[f"async_x{args.workers}"]
         document["so_reuseport"] = {
             "workers": args.workers,
             "single_loop_rps": saturation["async"],
@@ -279,9 +247,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       + "\n")
     if not args.quiet:
         print(f"bench: wrote {args.out}")
-        for engine in engines:
-            print(f"bench: {engine} saturation "
-                  f"{saturation[engine]} rps", flush=True)
+        for name, rps in saturation.items():
+            print(f"bench: {name} saturation {rps} rps", flush=True)
     return 0
 
 

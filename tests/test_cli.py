@@ -13,25 +13,29 @@ class TestParser:
     def test_all_subcommands_exist(self):
         parser = build_parser()
         for command in ("generate", "cloud", "ap", "odr",
-                        "experiments", "figures", "serve", "loadgen"):
+                        "experiments", "figures", "serve", "backends",
+                        "loadgen"):
             args = parser.parse_args(
                 [command] if command != "odr"
                 else [command, "http://x/y"])
             assert args.command == command
 
     def test_serve_flags(self):
-        parser = build_parser()
+        # `repro serve` has no parser of its own: its flags are the
+        # serve module's.
+        from repro.serve.__main__ import build_parser as serve_parser
+        parser = serve_parser()
         args = parser.parse_args(
-            ["serve", "--engine", "async", "--workers", "4",
+            ["--engine", "async", "--workers", "4",
              "--max-inflight", "64", "--no-batch", "--port", "0"])
         assert args.engine == "async"
         assert args.workers == 4
         assert args.max_inflight == 64
         assert args.no_batch
-        args = parser.parse_args(["serve"])
+        args = parser.parse_args([])
         assert args.engine == "async" and args.port == 8034
         with pytest.raises(SystemExit):
-            parser.parse_args(["serve", "--engine", "gevent"])
+            parser.parse_args(["--engine", "gevent"])
 
     def test_loadgen_forwards_to_its_own_parser(self, capsys):
         # Forwarded verbatim: loadgen's parser rejects a run with no
@@ -73,6 +77,57 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["cloud", "--metrics-format", "xml"])
+
+
+class TestForwardedCommands:
+    """``repro serve|backends|figures|loadgen`` hand their arguments
+    verbatim to the ``main`` of their own module."""
+
+    @pytest.mark.parametrize("command, prog", [
+        ("serve", "python -m repro.serve"),
+        ("backends", "python -m repro.backends"),
+        ("figures", "python -m repro.experiments.figures"),
+        ("loadgen", "python -m repro.loadgen"),
+    ], ids=["serve", "backends", "figures", "loadgen"])
+    def test_unknown_flag_is_refused_by_the_modules_parser(
+            self, command, prog, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--no-such-flag"])
+        assert excinfo.value.code == 2
+        assert f"{prog}: error: unrecognized arguments: --no-such-flag" \
+            in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for command in ("figures", "serve", "backends", "loadgen"):
+            assert command in out
+
+    def test_serve_thread_engine_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--engine", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    def test_figures_seed_fails_closed(self, capsys):
+        # Regression: the twin parser accepted --seed and then dropped
+        # it, rendering default-seed figures without a word.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figures", "--seed", "3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 3" \
+            in capsys.readouterr().err
+
+    def test_backends_digest_matches_the_module(self, capsys):
+        from repro.backends.__main__ import main as backends_main
+        argv = ["--quiet", "--limit", "50", "--scale", "0.002"]
+        assert main(["backends", *argv]) == 0
+        via_repro = capsys.readouterr().out
+        assert backends_main(argv) == 0
+        assert capsys.readouterr().out == via_repro
+        assert len(via_repro.strip()) == 64
 
 
 class TestOdrCommand:

@@ -9,6 +9,8 @@ The load-bearing properties:
   == sent);
 * graceful drain: in-flight requests finish, idle keep-alive
   connections are closed, the server stops accepting;
+* the process lifecycle: SIGINT/SIGTERM drain and exit 0, a drain out
+  of grace exits 1, and a stopped server's port binds again;
 * same-tick batching coalesces concurrent /decide arrivals into fewer
   handle_batch passes without changing any response;
 * the fault-plan chaos gate injects 500s during (and only during) its
@@ -17,18 +19,21 @@ The load-bearing properties:
 
 import http.client
 import json
+import signal
 import threading
 import time
 
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec
+from repro.faults.policies import ResiliencePolicies
 from repro.obs import MetricsRegistry
 from repro.serve import (
     AdmissionController,
     AsyncOdrServer,
     AsyncServerThread,
     endpoint_label,
+    run_async_server,
 )
 from repro.serve.chaos import ServeChaos, WorkerChaos
 from repro.faults.injector import FaultInjector
@@ -341,6 +346,107 @@ class TestDrain:
         assert thread.drained
         assert server.connections == 0
         connection.close()
+
+
+class TestLifecycle:
+    """``run_async_server`` as the CLI runs it: on the main thread,
+    stopped by a real signal."""
+
+    @staticmethod
+    def _hold_decisions(server, release_after_signal, signum):
+        """Make every app call block until released, then, once one is
+        in flight, raise ``signum`` and release it
+        ``release_after_signal`` seconds later.  Returns the
+        ``on_started`` hook and the client's result list."""
+        original = server.app.handle
+        started, release = threading.Event(), threading.Event()
+        results = []
+
+        def held_handle(path, cookie="", deadline=None):
+            started.set()
+            release.wait(5.0)
+            return original(path, cookie)
+
+        def client():
+            try:
+                results.append(get(server.host, server.port, DECIDE,
+                                   timeout=10.0))
+            except (OSError, http.client.HTTPException) as error:
+                results.append(error)
+
+        def trigger():
+            started.wait(5.0)
+            signal.raise_signal(signum)
+            time.sleep(release_after_signal)
+            release.set()
+
+        server.app.handle = held_handle
+        threads = [threading.Thread(target=client, daemon=True),
+                   threading.Thread(target=trigger, daemon=True)]
+
+        def on_started():
+            for thread in threads:
+                thread.start()
+
+        return on_started, threads, results
+
+    @pytest.mark.parametrize("signum",
+                             [signal.SIGINT, signal.SIGTERM])
+    def test_signal_drains_inflight_request_and_returns_0(self, signum):
+        server = AsyncOdrServer(batch=False)
+        on_started, threads, results = self._hold_decisions(
+            server, 0.2, signum)
+        code = run_async_server(server, grace=5.0, quiet=True,
+                                on_started=on_started)
+        for thread in threads:
+            thread.join(5.0)
+        assert code == 0
+        assert server.inflight_requests == 0
+        assert results and results[0][0] == 200
+
+    def test_drain_out_of_grace_with_request_in_flight_returns_1(self):
+        server = AsyncOdrServer(batch=False)
+        # Released a full second after the signal: far past the grace.
+        on_started, threads, _results = self._hold_decisions(
+            server, 1.0, signal.SIGTERM)
+        code = run_async_server(server, grace=0.2, quiet=True,
+                                on_started=on_started)
+        for thread in threads:
+            thread.join(5.0)
+        assert code == 1
+
+    def test_backend_exception_is_a_structured_500_over_http(self):
+        server = AsyncOdrServer(policies=ResiliencePolicies())
+
+        def boom(context, link):
+            raise RuntimeError("backend exploded")
+
+        server.app.service.handle_request = boom
+        with AsyncServerThread(server):
+            status, headers, body = get(server.host, server.port,
+                                        "/decide?link=http://host/f")
+        assert status == 500
+        assert headers["Content-Type"].startswith("application/json")
+        payload = json.loads(body)
+        assert payload["error"] == "internal error"
+        assert payload["detail"] == "RuntimeError: backend exploded"
+
+    def test_port_can_be_bound_again_after_stop(self):
+        first = AsyncOdrServer()
+        thread = AsyncServerThread(first).start()
+        port = first.port
+        # An idle keep-alive connection at stop: the drain closes it
+        # from the server side, which leaves the port in TIME_WAIT.
+        connection = http.client.HTTPConnection(first.host, port,
+                                                timeout=5.0)
+        connection.request("GET", "/healthz")
+        connection.getresponse().read()
+        assert thread.stop()
+        connection.close()
+        second = AsyncOdrServer(port=port)
+        with AsyncServerThread(second):
+            assert second.port == port
+            assert get(second.host, port, "/healthz")[0] == 200
 
 
 class TestBatching:
