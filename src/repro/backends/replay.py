@@ -41,10 +41,16 @@ from repro.core.decision import Action
 from repro.obs.histogram import QuantileSketch
 from repro.scale.plan import stable_hash
 from repro.sim.randomness import RngFactory
-from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+from repro.workload.catalog import FileCatalog
+from repro.workload.generator import (
+    Workload,
+    WorkloadConfig,
+    WorkloadGenerator,
+)
 from repro.workload.popularity import UNPOPULAR_BELOW
 from repro.workload.records import CatalogFile, RequestRecord
 
+from repro.backends.coopcache import CooperativeApCache
 from repro.backends.policies import DEFAULT_DEADLINE_SECONDS
 
 #: Defaults of the CLI: small enough for CI, big enough to exercise
@@ -287,38 +293,31 @@ def _execute_request(request: RequestRecord, record: CatalogFile,
 
 @dataclass(frozen=True)
 class ShardJob:
-    """Spawn-picklable payload of one comparison shard."""
+    """Spawn-picklable payload of one comparison shard.
 
-    shard: int
-    shards: int
-    scale: float
+    The parent builds it from the week it already holds: the shard's
+    files in sorted id order, each with its catalog row and its
+    requests in trace order, plus the coop-AP neighbourhood cache
+    ranked once over the whole catalog.
+    """
+
     seed: int
-    limit: int
     deadline_seconds: float
     faults: bool
     combos: tuple[ComboSpec, ...]
+    files: tuple[tuple[CatalogFile, tuple[RequestRecord, ...]], ...]
+    cache: CooperativeApCache
 
 
 def run_shard(job: ShardJob) -> list[ComboStats]:
     """Replay this shard's slice of the trace under every combo.
 
-    Module-level (spawn-safe) and self-contained: the worker
-    regenerates the workload from ``(scale, seed)``, takes the first
-    ``limit`` trace rows, keeps the files hashing into its shard, and
-    walks them file by file in sorted order with a per-(combo, file)
-    RNG stream.
+    Module-level (spawn-safe) and self-contained: the worker gets its
+    slice of the parent's week in ``job.files`` and walks it file by
+    file with a per-(combo, file) RNG stream; it never generates a
+    workload.
     """
     from repro.backends.registry import resolve_strategy
-
-    workload = WorkloadGenerator(
-        WorkloadConfig(scale=job.scale, seed=job.seed)).generate()
-    trace = workload.requests[:job.limit]
-    by_file: dict[str, list[RequestRecord]] = {}
-    for request in trace:
-        if stable_hash(f"file:{request.file_id}") % job.shards \
-                != job.shard:
-            continue
-        by_file.setdefault(request.file_id, []).append(request)
 
     injector = None
     if job.faults:
@@ -326,22 +325,22 @@ def run_shard(job: ShardJob) -> list[ComboStats]:
         from repro.faults.plan import default_chaos_plan
         injector = FaultInjector(default_chaos_plan())
 
-    catalog_rows = [workload.catalog[file_id]
-                    for file_id in sorted(by_file)]
+    catalog_rows = [record for record, _requests in job.files]
+    catalog = FileCatalog(files={record.file_id: record
+                                 for record in catalog_rows})
     results = []
     for combo in job.combos:
         database = _seed_database(catalog_rows)
         strategy = resolve_strategy(
-            combo.strategy, database=database,
-            catalog=workload.catalog, faults=injector,
+            combo.strategy, database=database, catalog=catalog,
+            cache=job.cache, faults=injector,
             backend_names=combo.backend_names,
             deadline_seconds=job.deadline_seconds)
         factory = RngFactory(job.seed).fork(f"backends:{combo.name}")
         stats = ComboStats(combo=combo.name)
-        for file_id in sorted(by_file):
-            record = workload.catalog[file_id]
-            rng = factory.stream(f"file:{file_id}")
-            for request in by_file[file_id]:
+        for record, requests in job.files:
+            rng = factory.stream(f"file:{record.file_id}")
+            for request in requests:
                 context = UserContext(
                     user_id=request.user_id,
                     ip_address=request.ip_address,
@@ -384,9 +383,16 @@ def compare(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
             jobs: int = 1,
             deadline_seconds: float = DEFAULT_DEADLINE_SECONDS,
             faults: bool = False,
-            combos: Optional[Sequence[ComboSpec]] = None
+            combos: Optional[Sequence[ComboSpec]] = None,
+            workload: Optional[Workload] = None
             ) -> dict[str, Any]:
-    """Run the comparison and return the scorecard dict (with digest)."""
+    """Run the comparison and return the scorecard dict (with digest).
+
+    ``workload`` is the ``(scale, seed)`` week when the caller already
+    holds it (a prefix of its requests with the whole catalog will do,
+    as long as it keeps the first ``limit`` rows); without it the week
+    is generated here, once, and the shards get their slices of it.
+    """
     if shards < 1:
         raise ValueError("shards must be >= 1")
     if jobs < 1:
@@ -398,11 +404,29 @@ def compare(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
     if not combo_specs:
         raise ValueError("no combos to compare")
     jobs = min(jobs, shards)
-    shard_jobs = [ShardJob(shard=shard, shards=shards, scale=scale,
-                           seed=seed, limit=limit,
-                           deadline_seconds=deadline_seconds,
-                           faults=faults, combos=combo_specs)
-                  for shard in range(shards)]
+    if workload is None:
+        workload = WorkloadGenerator(
+            WorkloadConfig(scale=scale, seed=seed)).generate()
+    elif (workload.config.scale, workload.config.seed) != (scale, seed):
+        # The scorecard names (scale, seed); another week would be
+        # scored under the wrong name.
+        raise ValueError(
+            f"workload is the (scale={workload.config.scale}, "
+            f"seed={workload.config.seed}) week, not "
+            f"(scale={scale}, seed={seed})")
+    by_file: dict[str, list[RequestRecord]] = {}
+    for request in workload.requests[:limit]:
+        by_file.setdefault(request.file_id, []).append(request)
+    slices: list[list] = [[] for _ in range(shards)]
+    for file_id in sorted(by_file):
+        shard = stable_hash(f"file:{file_id}") % shards
+        slices[shard].append((workload.catalog[file_id],
+                              tuple(by_file[file_id])))
+    cache = CooperativeApCache.from_catalog(workload.catalog)
+    shard_jobs = [ShardJob(seed=seed, deadline_seconds=deadline_seconds,
+                           faults=faults, combos=combo_specs,
+                           files=tuple(files), cache=cache)
+                  for files in slices]
     if jobs <= 1:
         shard_results = [run_shard(job) for job in shard_jobs]
     else:

@@ -13,10 +13,11 @@ Subcommands mirror the paper's workflow::
     repro loadgen     replay the trace as live HTTP load
     repro runs gc     collect complete and stale run directories
 
-``figures``, ``serve``, ``backends`` and ``loadgen`` hand the rest of
-the command line verbatim to the ``main`` of their own module (see
-``_FORWARDED``), so each flag is declared once, there.  Every
-subcommand is also reachable as ``python -m repro <subcommand>``.
+``experiments``, ``figures``, ``serve``, ``backends`` and ``loadgen``
+hand the rest of the command line verbatim to the ``main`` of their
+own module (see ``_FORWARDED``), so each flag is declared once,
+there.  Every subcommand is also reachable as
+``python -m repro <subcommand>``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,15 @@ import argparse
 import importlib
 import sys
 from pathlib import Path
+from typing import Callable
 
 from repro.sim.clock import MINUTE, mbps, to_gbps
 
 
-def _add_scale(parser: argparse.ArgumentParser,
-               default: float = 0.01) -> None:
-    parser.add_argument("--scale", type=float, default=default,
+def _add_scale(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scale", type=float, default=0.01,
                         help="fraction of the real week to synthesise "
-                             f"(default {default})")
+                             "(default 0.01)")
     parser.add_argument("--seed", type=int, default=20150222)
 
 
@@ -473,31 +474,11 @@ def cmd_odr(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as runner_main
-    argv = ["--scale", str(args.scale), "--seed", str(args.seed)]
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    if args.run_dir is not None:
-        argv += ["--run-dir", str(args.run_dir)]
-    if args.resume is not None:
-        argv += ["--resume", str(args.resume)]
-    if args.shard_timeout is not None:
-        argv += ["--shard-timeout", str(args.shard_timeout)]
-    if args.max_shard_retries is not None:
-        argv += ["--max-shard-retries", str(args.max_shard_retries)]
-    if args.output:
-        argv += ["--output", str(args.output)]
-    if args.metrics_out:
-        argv += ["--metrics-out", str(args.metrics_out)]
-    if args.metrics_format:
-        argv += ["--metrics-format", args.metrics_format]
-    return runner_main(argv)
-
-
 #: Subcommands owned by another module's parser: name -> (module whose
 #: ``main(argv)`` gets the remaining arguments, ``repro --help`` line).
 _FORWARDED = {
+    "experiments": ("repro.experiments.runner",
+                    "regenerate every paper comparison"),
     "figures": ("repro.experiments.figures",
                 "render the paper's figures as SVG"),
     "serve": ("repro.serve.__main__",
@@ -610,15 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile(odr)
     odr.set_defaults(func=cmd_odr)
 
-    experiments = subparsers.add_parser(
-        "experiments", help="regenerate every paper comparison")
-    _add_scale(experiments, default=0.02)
-    _add_jobs(experiments, shards=False)
-    experiments.add_argument("--output", type=Path, default=None)
-    _add_recovery(experiments)
-    _add_metrics(experiments)
-    experiments.set_defaults(func=cmd_experiments)
-
     for name, (_module, help_line) in _FORWARDED.items():
         # Listed for --help only: main() routes these before parsing.
         subparsers.add_parser(name, help=help_line)
@@ -646,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(run: Callable[[], int]) -> int:
     """Run a subcommand, mapping recovery outcomes to exit codes.
 
     An interrupted durable run exits 130 (like a plain Ctrl-C) and a
@@ -656,7 +628,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     from repro.recovery import RunDirError, RunInterrupted, \
         ShardLostError
     try:
-        return args.func(args)
+        return run()
     except RunInterrupted as error:
         print(f"interrupted: {error}", file=sys.stderr)
         if error.run_dir is not None:
@@ -680,16 +652,16 @@ def main(argv: list[str] | None = None) -> int:
         # Verbatim: argparse's REMAINDER refuses leading optionals, so
         # route before parsing.
         module = importlib.import_module(_FORWARDED[argv[0]][0])
-        return module.main(argv[1:])
+        return _dispatch(lambda: module.main(argv[1:]))
     args = build_parser().parse_args(argv)
     if getattr(args, "profile", None) is None:
-        return _dispatch(args)
+        return _dispatch(lambda: args.func(args))
     import cProfile
     destination = _profile_destination(args)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        status = _dispatch(args)
+        status = _dispatch(lambda: args.func(args))
     finally:
         profiler.disable()
         destination.parent.mkdir(parents=True, exist_ok=True)

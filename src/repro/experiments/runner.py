@@ -147,8 +147,10 @@ def render_experiments_md(reports: list[ExperimentReport],
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    """The runner's flags; ``repro experiments`` forwards to them."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.runner", description=__doc__)
     parser.add_argument("--scale", type=float, default=DEFAULT_SCALE,
                         help="fraction of the real week to synthesise")
     parser.add_argument("--seed", type=int, default=None,
@@ -176,7 +178,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--metrics-format",
                         choices=("jsonl", "prom", "table"),
                         default="jsonl")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
+    if args.resume is None and args.run_dir is None and (
+            args.shard_timeout is not None
+            or args.max_shard_retries is not None):
+        parser.error("--shard-timeout/--max-shard-retries need "
+                     "--run-dir or --resume")
 
     from repro.experiments.context import DEFAULT_SEED
     seed = args.seed if args.seed is not None else DEFAULT_SEED

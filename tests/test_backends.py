@@ -515,3 +515,90 @@ class TestComparisonDeterminism:
         digest = capsys.readouterr().out.strip()
         assert len(digest) == 64
         assert int(digest, 16) is not None
+
+
+class TestPinnedScorecards:
+    """Scorecard digests pinned before the comparison engine stopped
+    regenerating the week per shard: building each input once must not
+    change a byte of any scorecard."""
+
+    PINNED = {
+        "cli-defaults": (
+            {},
+            "eb6d245d9c05babdb29aecbd7e778634fe7634f4a779071fb9fcf1410f013e56"),
+        "ci-shape": (
+            {"scale": 0.002, "limit": 200},
+            "65fd197bc080894aceb9bab98fa9fff3c0f60bd26b645ebeefa7599653bf62a3"),
+        "ci-shape-faults": (
+            {"scale": 0.002, "limit": 200, "faults": True},
+            "e85b9099a755352ed86c27119506d044836381ac0c57581de9ceac15e7664207"),
+        "paper-week-shape": (
+            {"scale": 0.0075, "seed": 20150222, "limit": 400},
+            "4e45fc8a0b22dd459700e8061d1dd2ddc2bdc082a1d90c24497fc503206d9b91"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PINNED))
+    def test_digest_is_pinned(self, shape):
+        from repro.backends.replay import compare
+        settings, digest = self.PINNED[shape]
+        assert compare(**settings)["digest"] == digest
+
+    @staticmethod
+    def count_generate(monkeypatch):
+        from repro.workload.generator import WorkloadGenerator
+        calls = []
+        original = WorkloadGenerator.generate
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.config.scale)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkloadGenerator, "generate", counting)
+        return calls
+
+    def test_one_compare_generates_the_week_at_most_once(
+            self, monkeypatch):
+        from repro.backends.replay import compare
+        calls = self.count_generate(monkeypatch)
+        compare(scale=0.002, limit=200, shards=5)
+        assert len(calls) <= 1
+
+    def test_a_given_workload_is_never_regenerated(self, monkeypatch):
+        from repro.backends.replay import compare
+        from repro.workload import WorkloadConfig, WorkloadGenerator
+        week = WorkloadGenerator(
+            WorkloadConfig(scale=0.002, seed=20150222)).generate()
+        calls = self.count_generate(monkeypatch)
+        scorecard = compare(scale=0.002, limit=200, shards=3,
+                            workload=week)
+        assert calls == []
+        assert scorecard["digest"] == self.PINNED["ci-shape"][1]
+
+    def test_a_workload_of_another_week_is_refused(self):
+        from repro.backends.replay import compare
+        from repro.workload import WorkloadConfig, WorkloadGenerator
+        week = WorkloadGenerator(
+            WorkloadConfig(scale=0.002, seed=20150222)).generate()
+        with pytest.raises(ValueError, match="seed=7"):
+            compare(scale=0.002, seed=7, limit=50, workload=week)
+
+    def test_backend_matrix_replays_the_contexts_week(self):
+        # The context holds only a request prefix of the week (as the
+        # benchmark's columnar round trip does); the matrix reads the
+        # first MATRIX_LIMIT rows of it, which are the week's.
+        import dataclasses
+
+        from repro.backends.replay import compare
+        from repro.experiments import backend_matrix
+        from repro.experiments.context import ExperimentContext
+        from repro.workload import WorkloadConfig, WorkloadGenerator
+        week = WorkloadGenerator(
+            WorkloadConfig(scale=0.002, seed=20150222)).generate()
+        prefix = dataclasses.replace(week, requests=week.requests[
+            :backend_matrix.MATRIX_LIMIT + 100])
+        context = ExperimentContext(scale=0.002, seed=20150222,
+                                    _workload=prefix)
+        report = backend_matrix.run(context)
+        expected = compare(scale=0.002, seed=20150222,
+                           limit=backend_matrix.MATRIX_LIMIT)
+        assert report.data["digest"] == expected["digest"]

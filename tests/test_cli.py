@@ -61,8 +61,7 @@ class TestParser:
 
     def test_metrics_flags_on_instrumented_subcommands(self):
         parser = build_parser()
-        for argv in (["cloud"], ["ap"], ["odr", "http://x/y"],
-                     ["experiments"]):
+        for argv in (["cloud"], ["ap"], ["odr", "http://x/y"]):
             args = parser.parse_args(
                 argv + ["--metrics-out", "m.jsonl",
                         "--metrics-format", "prom"])
@@ -72,6 +71,14 @@ class TestParser:
             args = parser.parse_args(argv)
             assert args.metrics_out is None
             assert args.metrics_format is None
+        # `repro experiments` parses with the runner's own parser.
+        from repro.experiments.runner import build_parser as runner_parser
+        args = runner_parser().parse_args(
+            ["--metrics-out", "m.jsonl", "--metrics-format", "prom"])
+        assert str(args.metrics_out) == "m.jsonl"
+        assert args.metrics_format == "prom"
+        # Default: no --metrics-out, so the run is not instrumented.
+        assert runner_parser().parse_args([]).metrics_out is None
 
     def test_metrics_format_choices_are_validated(self):
         with pytest.raises(SystemExit):
@@ -79,16 +86,71 @@ class TestParser:
                 ["cloud", "--metrics-format", "xml"])
 
 
+class TestExperimentsCommand:
+    """``repro experiments`` runs ``repro.experiments.runner``'s own
+    parser, so both entry points resolve the same effective settings."""
+
+    @staticmethod
+    def captured_settings(monkeypatch, tmp_path, entry, argv):
+        import repro.experiments.runner as runner
+        import repro.experiments.scorecard as scorecard
+        import repro.obs as obs
+        from repro.experiments.context import ExperimentContext
+        seen = {}
+
+        def fake_context(scale, seed):
+            seen["scale"], seen["seed"] = scale, seed
+            return ExperimentContext(scale=scale, seed=seed)
+
+        def fake_export(registry, fmt, path):
+            seen["metrics_format"] = fmt
+            return ""
+
+        monkeypatch.setattr(runner, "default_context", fake_context)
+        monkeypatch.setattr(runner, "run_all", lambda context: [])
+        monkeypatch.setattr(scorecard, "evaluate_claims",
+                            lambda context: [])
+        monkeypatch.setattr(scorecard.Scorecard, "render",
+                            lambda self: "")
+        monkeypatch.setattr(obs, "export", fake_export)
+        argv = ["--output", str(tmp_path / "EXP.md"),
+                "--metrics-out", str(tmp_path / "metrics"), *argv]
+        assert entry(argv) == 0
+        return seen
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], {"scale": 0.02, "seed": 20150222, "metrics_format": "jsonl"}),
+        (["--scale", "0.003", "--seed", "7", "--metrics-format", "prom"],
+         {"scale": 0.003, "seed": 7, "metrics_format": "prom"}),
+    ], ids=["defaults", "explicit"])
+    def test_repro_and_runner_resolve_the_same_settings(
+            self, monkeypatch, tmp_path, capsys, argv, expected):
+        from repro.experiments.runner import main as runner_main
+        via_repro = self.captured_settings(
+            monkeypatch, tmp_path, lambda rest: main(["experiments",
+                                                      *rest]), argv)
+        via_runner = self.captured_settings(
+            monkeypatch, tmp_path, runner_main, argv)
+        assert via_repro == via_runner == expected
+
+    def test_recovery_knobs_without_a_run_dir_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "--shard-timeout", "5"])
+        assert excinfo.value.code == 2
+        assert "need --run-dir or --resume" in capsys.readouterr().err
+
+
 class TestForwardedCommands:
-    """``repro serve|backends|figures|loadgen`` hand their arguments
-    verbatim to the ``main`` of their own module."""
+    """``repro experiments|serve|backends|figures|loadgen`` hand their
+    arguments verbatim to the ``main`` of their own module."""
 
     @pytest.mark.parametrize("command, prog", [
+        ("experiments", "python -m repro.experiments.runner"),
         ("serve", "python -m repro.serve"),
         ("backends", "python -m repro.backends"),
         ("figures", "python -m repro.experiments.figures"),
         ("loadgen", "python -m repro.loadgen"),
-    ], ids=["serve", "backends", "figures", "loadgen"])
+    ], ids=["experiments", "serve", "backends", "figures", "loadgen"])
     def test_unknown_flag_is_refused_by_the_modules_parser(
             self, command, prog, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -102,7 +164,8 @@ class TestForwardedCommands:
             main(["--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for command in ("figures", "serve", "backends", "loadgen"):
+        for command in ("experiments", "figures", "serve", "backends",
+                        "loadgen"):
             assert command in out
 
     def test_serve_thread_engine_is_refused(self, capsys):
