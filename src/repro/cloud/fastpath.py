@@ -371,6 +371,7 @@ class FastTaskMachine:
         self._tasks_append(result)
         if not pre_record.success:
             self.phase[idx] = PHASE_DONE
+            self.waiters[idx] = None
             return
         self.results[idx] = result
         lag = self._lag_median * float(
@@ -404,6 +405,7 @@ class FastTaskMachine:
                 0.0, 0.0, 0.0, 0.0, True)
             self.results[idx] = None
             self.phase[idx] = PHASE_DONE
+            self.waiters[idx] = None
             return
 
         path, reservation, rate = admitted
@@ -444,3 +446,4 @@ class FastTaskMachine:
         self.paths[idx] = None
         self.results[idx] = None
         self.phase[idx] = PHASE_DONE
+        self.waiters[idx] = None

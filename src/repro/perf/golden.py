@@ -107,22 +107,16 @@ def ap_replay() -> str:
     return digest(ap_payload(report.results))
 
 
-def _engine_classes():
-    from repro.sim import engine
-    return engine.Simulator, engine.Timeout, engine.Interrupt
-
-
-def engine_trace(simulator_factory: Callable[[], Any] | None = None) -> str:
+def engine_trace() -> str:
     """A scripted engine scenario covering every scheduling path.
 
     The trace pins: time ordering, same-instant scheduling order, event
     trigger fan-out order, waiter cancellation via interrupt (including
     a 50-process mass cancellation), waiting on finished processes and
     already-triggered events, error propagation, and ``run(until=...)``.
-    ``simulator_factory`` lets the legacy engine replay the same script.
     """
-    Simulator, Timeout, Interrupt = _engine_classes()
-    sim = simulator_factory() if simulator_factory else Simulator()
+    from repro.sim.engine import Interrupt, Simulator, Timeout
+    sim = Simulator()
     trace: list = []
 
     gate = sim.event("gate")

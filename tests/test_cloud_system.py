@@ -1,5 +1,7 @@
 """Integration tests for the full cloud system run."""
 
+import gc
+
 import pytest
 
 from repro.paper import IMPEDED_FETCH_THRESHOLD
@@ -154,3 +156,34 @@ class TestFastPathEquivalence:
         slow = XuanfengCloud(CloudConfig(scale=TEST_SCALE),
                              fast_tasks=False).run(workload)
         assert cloud_payload(fast) == cloud_payload(slow)
+
+
+class TestReplayGraphIsFreedByRefcount:
+    """A dropped replay result must not wait for a cyclic collection.
+
+    The fast path's per-task waiter facades point back at their
+    machine, which holds the ``tasks``/``flows`` lists; a waiter left
+    in its slot after the run would keep the whole result graph alive
+    until the next full ``gc`` pass.
+    """
+
+    def test_no_task_result_survives_the_result(self, workload):
+        from repro.cloud import CloudConfig, XuanfengCloud
+        from repro.cloud.system import TaskResult
+        from tests.conftest import TEST_SCALE
+
+        def live_task_results():
+            return sum(1 for obj in gc.get_objects()
+                       if type(obj) is TaskResult)
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_task_results()
+            result = XuanfengCloud(CloudConfig(scale=TEST_SCALE)).run(
+                workload)
+            assert len(result.tasks) == len(workload.requests)
+            del result
+            assert live_task_results() == before
+        finally:
+            gc.enable()

@@ -521,13 +521,18 @@ class TestSameInstantDispatchOrder:
 
     The live engine drains same-timestamp events through a FIFO and
     merges in heap entries that share the current timestamp by sequence
-    number; the frozen pre-batching engine (``Pr3Simulator``) orders
-    everything through one heap.  Both must fire an adversarial
-    same-instant storm in exactly the same global order.
+    number; the pre-batching engine ordered everything through one
+    heap.  Both must fire an adversarial same-instant storm in exactly
+    the same global order, pinned by :data:`PRE_BATCHING_STORM_DIGEST`.
     """
 
-    def _storm(self, make_sim):
-        sim = make_sim()
+    #: ``golden.digest`` of the storm log as the pre-batching
+    #: single-heap engine fired it (the two engines' logs were equal).
+    PRE_BATCHING_STORM_DIGEST = (
+        "f276118afab1ebbbae0a2363b7d109c4d19cfc9c987fc07e5cdf4624cbeb1b43")
+
+    def _storm(self):
+        sim = Simulator()
         log = []
 
         def leaf(tag):
@@ -562,17 +567,16 @@ class TestSameInstantDispatchOrder:
         return log
 
     def test_storm_order_matches_pre_batching_engine(self):
-        from repro.perf.pr3 import Pr3Simulator
-        live = self._storm(Simulator)
-        frozen = self._storm(Pr3Simulator)
-        assert live == frozen
+        from repro.perf.golden import digest
+        live = self._storm()
+        assert digest(live) == self.PRE_BATCHING_STORM_DIGEST
         # The storm actually exercised same-instant contention: several
         # distinct tags fired at the same timestamps.
         times = [when for when, _tag in live]
         assert len(times) > len(set(times))
 
     def test_storm_interleaves_heap_entries_by_sequence(self):
-        log = self._storm(Simulator)
+        log = self._storm()
         by_time: dict = {}
         for when, tag in log:
             by_time.setdefault(when, []).append(tag)
